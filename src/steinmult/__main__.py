@@ -1,0 +1,8 @@
+"""``python -m steinmult``: the same command line as the ``steinmult`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,13 +30,12 @@ is positive.  These index sets drive everything else here:
 
 from __future__ import annotations
 
-import itertools
 import warnings as _warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .root_datum import Coweight, DomainError, validate_mu_positive_chamber
-from .steinberg_jh import JHFactor, jh_factors
+from .steinberg_jh import JHFactor, _subsets_by_size, jh_factors
 from .weyl import WeylElement, WeylGroup
 
 __all__ = [
@@ -65,13 +64,6 @@ class InfeasibleError(RuntimeError):
     """The interval constraints admit no solution; indicates an internal bug."""
 
 
-def _subsets_by_size(indices: Iterable[int]) -> Iterator[frozenset[int]]:
-    base = sorted(indices)
-    for size in range(len(base) + 1):
-        for combo in itertools.combinations(base, size):
-            yield frozenset(combo)
-
-
 def _validated_mu(group: WeylGroup, mu: Coweight) -> Coweight:
     report = validate_mu_positive_chamber(group.datum, mu)
     if not report.ok:
@@ -91,7 +83,7 @@ class OmegaSet:
         return len(self.elements)
 
     def __contains__(self, w: WeylElement) -> bool:
-        return w in set(self.elements)
+        return w in self.elements
 
     def words(self) -> tuple[str, ...]:
         if not self.elements:
@@ -107,11 +99,8 @@ def omega(
     subset = group._check_subset(frozenset(subset))
     _validated_mu(group, mu)
     outside = [i - 1 for i in range(1, group.rank + 1) if i not in subset]
-    chosen = tuple(
-        w
-        for w in group.enumerate_group()
-        if all(group.act_coweight(w, mu).coords[i] > 0 for i in outside)
-    )
+    images = ((w, group.act_coweight(w, mu).coords) for w in group.enumerate_group())
+    chosen = tuple(w for w, coords in images if all(coords[i] > 0 for i in outside))
     return OmegaSet(subset, mu, chosen)
 
 
@@ -298,7 +287,12 @@ def distribution_types(
     in table order; its key set provably exhausts the factors of every
     twist occurring in the complex, which is re-checked here.
     """
-    spec = build_complex(group, mu)
+    return _distribution_types(group, build_complex(group, mu))
+
+
+def _distribution_types(
+    group: WeylGroup, spec: ChainComplexSpec
+) -> dict[JHFactor, DistributionType]:
     base = jh_factors(group, group.identity)
     tables = {
         w: jh_factors(group, w).multiplicity_map()
@@ -497,7 +491,7 @@ class HomologyReport:
 def homology_bounds(group: WeylGroup, mu: Coweight) -> HomologyReport:
     """Solve the multiplicity intervals of every factor across the complex."""
     spec = build_complex(group, mu)
-    types = distribution_types(group, mu)
+    types = _distribution_types(group, spec)
     bottom = spec.bottom_level
     edges = [
         {

@@ -135,7 +135,7 @@ class FactorTable:
         return "\n".join(lines)
 
 
-def _subsets_by_size(indices: frozenset[int]) -> Iterator[frozenset[int]]:
+def _subsets_by_size(indices: Iterable[int]) -> Iterator[frozenset[int]]:
     base = sorted(indices)
     for size in range(len(base) + 1):
         for combo in itertools.combinations(base, size):
@@ -155,6 +155,24 @@ def _require_smooth_subset(
     return subset
 
 
+def _signed_sums(
+    group: WeylGroup, w_inv: WeylElement, v: WeylElement
+) -> dict[frozenset[int], int]:
+    """The alternating sum of the module docstring for every ``J'`` at once.
+
+    Maps ``support(r w^{-1})`` to the sum of ``(-1)^{len(r w^{-1})} *
+    verma_multiplicity(r, v)`` over ``r <= v``; the sign ``(-1)^{|J'|}``
+    is left to the caller.
+    """
+    sums: dict[frozenset[int], int] = {}
+    for r in group.bruhat_interval(group.identity, v):
+        quotient = group.multiply(r, w_inv)
+        support = group.support(quotient)
+        sign = -1 if quotient.length % 2 else 1
+        sums[support] = sums.get(support, 0) + sign * verma_multiplicity(group, r, v)
+    return sums
+
+
 def jh_multiplicity(
     group: WeylGroup, w: WeylElement, v: WeylElement, smooth: Iterable[int]
 ) -> int:
@@ -167,14 +185,8 @@ def jh_multiplicity(
     group._check_member(v)
     subset = _require_smooth_subset(group, v, smooth)
     target = subset & group.upper_set(w)
-    w_inv = group.inverse(w)
-    total = 0
-    for r in group.bruhat_interval(group.identity, v):
-        quotient = group.multiply(r, w_inv)
-        if group.support(quotient) == target:
-            sign = -1 if (quotient.length + len(target)) % 2 else 1
-            total += sign * verma_multiplicity(group, r, v)
-    return total
+    partial = _signed_sums(group, group.inverse(w), v).get(target, 0)
+    return -partial if len(target) % 2 else partial
 
 
 def jh_factors(group: WeylGroup, w: WeylElement) -> FactorTable:
@@ -190,12 +202,7 @@ def jh_factors(group: WeylGroup, w: WeylElement) -> FactorTable:
     w_ascents = group.upper_set(w)
     entries: list[tuple[JHFactor, int]] = []
     for v in group.enumerate_group():
-        sums: dict[frozenset[int], int] = {}
-        for r in group.bruhat_interval(group.identity, v):
-            quotient = group.multiply(r, w_inv)
-            support = group.support(quotient)
-            sign = -1 if quotient.length % 2 else 1
-            sums[support] = sums.get(support, 0) + sign * verma_multiplicity(group, r, v)
+        sums = _signed_sums(group, w_inv, v)
         ascents = group.upper_set(v)
         for subset in _subsets_by_size(ascents):
             target = subset & w_ascents

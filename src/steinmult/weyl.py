@@ -1,9 +1,15 @@
 """The Weyl group of a root datum: words, length, Bruhat order, parabolics.
 
-An element is represented by the pair of integer matrices giving its action
-on weights (simple-root basis) and on coweights (simple-coroot basis).
-Elements are interned per group, so within one :class:`WeylGroup` equal
-elements are the *same* object; equality and hashing are identity-based.
+The group is built once, as a table: a breadth-first search from the
+identity by left multiplication with simple reflections, one length at a
+time (W. Casselman, "Machine calculations in Weyl groups", Invent. Math.
+116, 1994).  Each element stores ``s_i w`` for every ``i``, its length (the
+search depth), its left descents and its canonical word, and every product,
+inverse, descent and Bruhat comparison reads that table.  Each element also
+carries the integer matrices of its action on weights (simple-root basis)
+and on coweights (simple-coroot basis); they are used only where a weight
+or coweight is acted on.  Within one :class:`WeylGroup` equal elements are
+the *same* object; equality and hashing are identity-based.
 
 Conventions:
 
@@ -16,7 +22,8 @@ Conventions:
 * ``upper_set(w)`` is the set of left ascents, the complement of the left
   descent set; ``support(w)`` is the set of letters of any reduced word.
 * The canonical word of ``w`` is its lexicographically smallest reduced
-  word, obtained by repeatedly peeling the smallest left descent.
+  word: the smallest left descent ``i`` followed by the canonical word of
+  ``s_i w``.
 * ``dot_action`` is the rho-shifted action ``w . lam = w(lam + rho) - rho``.
 
 Simple reflections are indexed ``1..rank`` everywhere.
@@ -24,7 +31,6 @@ Simple reflections are indexed ``1..rank`` everywhere.
 
 from __future__ import annotations
 
-import math
 import re
 
 from .root_datum import Coweight, DomainError, RootDatum, Weight
@@ -45,11 +51,13 @@ def _identity_matrix(d: int) -> IntMatrix:
     return tuple(tuple(1 if r == c else 0 for c in range(d)) for r in range(d))
 
 
-def _matmul(x: IntMatrix, y: IntMatrix) -> IntMatrix:
-    cols = tuple(zip(*y))
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in x
-    )
+def _reflect(row: tuple[int, ...], i: int, m: IntMatrix) -> IntMatrix:
+    """``s m`` for the simple reflection ``s`` whose row ``i`` is ``row``.
+
+    Every other row of ``s`` is the identity's, so only row ``i`` changes.
+    """
+    new = tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*m))
+    return m[:i] + (new,) + m[i + 1 :]
 
 
 def _apply(m: IntMatrix, vec: tuple) -> tuple:
@@ -57,7 +65,7 @@ def _apply(m: IntMatrix, vec: tuple) -> tuple:
 
 
 class WeylElement:
-    """An interned Weyl group element; create via :class:`WeylGroup` methods."""
+    """A Weyl group element; obtain it from :class:`WeylGroup` methods."""
 
     __slots__ = (
         "group",
@@ -66,8 +74,8 @@ class WeylElement:
         "length",
         "_serial",
         "_word",
+        "_left",
         "_left_descents",
-        "_inverse",
     )
 
     def __init__(
@@ -75,17 +83,20 @@ class WeylElement:
         group: WeylGroup,
         root_matrix: IntMatrix,
         coroot_matrix: IntMatrix,
-        length: int,
         serial: int,
+        word: tuple[int, ...],
     ) -> None:
         self.group = group
         self.root_matrix = root_matrix
         self.coroot_matrix = coroot_matrix
-        self.length = length
+        self.length = len(word)
+        #: Position in enumeration order.
         self._serial = serial
-        self._word: tuple[int, ...] | None = None
-        self._left_descents: frozenset[int] | None = None
-        self._inverse: WeylElement | None = None
+        self._word = word
+        # ``_left[i - 1]`` is ``s_i w``.  Enumeration fills in ``_left`` and
+        # ``_left_descents``; the identity's empty descent set holds before.
+        self._left: tuple[WeylElement, ...] = ()
+        self._left_descents: frozenset[int] = frozenset()
 
     def __repr__(self) -> str:
         return f"<WeylElement {self.group.format_word(self)}>"
@@ -98,42 +109,20 @@ class WeylGroup:
         self.datum = datum
         d = datum.rank
         matrix = datum.matrix
-        self._root_gens: tuple[IntMatrix, ...] = tuple(
-            tuple(
-                tuple(
-                    (1 if r == c else 0) - (matrix[c][j] if r == j else 0)
-                    for c in range(d)
-                )
-                for r in range(d)
-            )
+        # Row ``j`` of the ``j``-th simple reflection acting on weights and
+        # on coweights; all its other rows are those of the identity.
+        self._root_rows = tuple(
+            tuple((1 if c == j else 0) - matrix[c][j] for c in range(d))
             for j in range(d)
         )
-        self._coroot_gens: tuple[IntMatrix, ...] = tuple(
-            tuple(
-                tuple(
-                    (1 if r == c else 0) - (matrix[j][c] if r == j else 0)
-                    for c in range(d)
-                )
-                for r in range(d)
-            )
+        self._coroot_rows = tuple(
+            tuple((1 if c == j else 0) - matrix[j][c] for c in range(d))
             for j in range(d)
         )
-        self._registry: dict[IntMatrix, WeylElement] = {}
-        # Integer coweight in the open chamber with all simple pairings equal:
-        # a positive multiple of the inverse Cartan matrix row sums.  Signs of
-        # pairings against it detect left descents.
-        inv = datum.inverse_cartan
-        sums = [sum(inv[i][j] for j in range(d)) for i in range(d)]
-        denom_lcm = 1
-        for value in sums:
-            denom_lcm = math.lcm(denom_lcm, value.denominator)
-        self._regular_coweight: tuple[int, ...] = tuple(
-            int(value * denom_lcm) for value in sums
+        self.identity = WeylElement(
+            self, _identity_matrix(d), _identity_matrix(d), 0, ()
         )
-        self.identity = self._intern(_identity_matrix(d), _identity_matrix(d))
-        self.identity._word = ()
         self._elements: tuple[WeylElement, ...] | None = None
-        self._longest: WeylElement | None = None
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._longest_conjugates: dict[int, WeylElement] = {}
         self._kostant_cache: dict[frozenset[int], tuple[WeylElement, ...]] = {}
@@ -145,48 +134,31 @@ class WeylGroup:
     def rank(self) -> int:
         return self.datum.rank
 
-    def _intern(self, root_matrix: IntMatrix, coroot_matrix: IntMatrix) -> WeylElement:
-        found = self._registry.get(root_matrix)
-        if found is None:
-            length = sum(
-                1
-                for alpha in self.datum.positive_roots
-                if sum(_apply(root_matrix, alpha)) < 0
-            )
-            found = WeylElement(
-                self, root_matrix, coroot_matrix, length, len(self._registry)
-            )
-            self._registry[root_matrix] = found
-        return found
-
     def simple_reflection(self, i: int) -> WeylElement:
         if not 1 <= i <= self.rank:
             raise DomainError(f"simple index {i} out of range 1..{self.rank}")
-        return self._intern(self._root_gens[i - 1], self._coroot_gens[i - 1])
+        if self._elements is None:
+            self.enumerate_group()
+        return self.identity._left[i - 1]
 
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
         self._check_member(a)
         self._check_member(b)
-        return self._intern(
-            _matmul(a.root_matrix, b.root_matrix),
-            _matmul(a.coroot_matrix, b.coroot_matrix),
-        )
+        for i in reversed(a._word):
+            b = b._left[i - 1]
+        return b
 
     def inverse(self, w: WeylElement) -> WeylElement:
+        """``w^{-1}``, whose word is the canonical word of ``w`` read backwards."""
         self._check_member(w)
-        if w._inverse is None:
-            result = self.identity
-            for i in reversed(self.canonical_word(w)):
-                result = self.multiply(result, self.simple_reflection(i))
-            w._inverse = result
-            result._inverse = w
-        return w._inverse
+        return self.product_of(w._word[::-1])
 
     def product_of(self, word: tuple[int, ...] | list[int]) -> WeylElement:
         """The product ``s_{i1} ... s_{ik}`` of a word of simple indices."""
+        letters = [self.simple_reflection(i) for i in word]
         result = self.identity
-        for i in word:
-            result = self.multiply(result, self.simple_reflection(i))
+        for s in reversed(letters):
+            result = self.multiply(s, result)
         return result
 
     def _check_member(self, w: WeylElement) -> None:
@@ -206,17 +178,6 @@ class WeylGroup:
     def left_descents(self, w: WeylElement) -> frozenset[int]:
         """Indices ``i`` with ``s_i w < w``."""
         self._check_member(w)
-        if w._left_descents is None:
-            image = _apply(w.coroot_matrix, self._regular_coweight)
-            matrix = self.datum.matrix
-            d = self.rank
-            descents = []
-            for i in range(d):
-                value = sum(matrix[i][j] * image[j] for j in range(d))
-                assert value != 0, "regular coweight hit a wall"
-                if value < 0:
-                    descents.append(i + 1)
-            w._left_descents = frozenset(descents)
         return w._left_descents
 
     def upper_set(self, w: WeylElement) -> frozenset[int]:
@@ -226,14 +187,6 @@ class WeylGroup:
     def canonical_word(self, w: WeylElement) -> tuple[int, ...]:
         """Lexicographically smallest reduced word of ``w``."""
         self._check_member(w)
-        if w._word is None:
-            letters: list[int] = []
-            cursor = w
-            while cursor._word is None:
-                i = min(self.left_descents(cursor))
-                letters.append(i)
-                cursor = self.multiply(self.simple_reflection(i), cursor)
-            w._word = tuple(letters) + cursor._word
         return w._word
 
     def support(self, w: WeylElement) -> frozenset[int]:
@@ -243,38 +196,47 @@ class WeylGroup:
     # ----- enumeration and the longest element ----------------------------
 
     def enumerate_group(self, max_size: int = 10**6) -> tuple[WeylElement, ...]:
-        """All elements, sorted by (length, canonical word)."""
+        """All elements, sorted by (length, canonical word).
+
+        Builds the group one length at a time: for each ``i`` in turn, and
+        for each element ``w`` of the previous length in enumeration order,
+        ``s_i w`` is either known or new.  A new element is first reached
+        through its smallest left descent ``i``, so its canonical word is
+        ``(i,) + word(w)`` and each length comes out already sorted.
+        """
         if self._elements is None:
-            seen = {self.identity}
-            frontier = [self.identity]
-            gens = [self.simple_reflection(i) for i in range(1, self.rank + 1)]
-            while frontier:
+            known = {self.identity.root_matrix: self.identity}
+            level = [self.identity]
+            while level:
+                rows: list[list[WeylElement]] = [[] for _ in level]
                 nxt: list[WeylElement] = []
-                for w in frontier:
-                    for s in gens:
-                        ws = self.multiply(w, s)
-                        if ws not in seen:
-                            seen.add(ws)
-                            nxt.append(ws)
-                if len(seen) > max_size:
+                for i in range(self.rank):
+                    for w, row in zip(level, rows):
+                        root = _reflect(self._root_rows[i], i, w.root_matrix)
+                        u = known.get(root)
+                        if u is None:
+                            coroot = _reflect(self._coroot_rows[i], i, w.coroot_matrix)
+                            word = (i + 1,) + w._word
+                            u = WeylElement(self, root, coroot, len(known), word)
+                            known[root] = u
+                            nxt.append(u)
+                        row.append(u)
+                for w, row in zip(level, rows):
+                    w._left = tuple(row)
+                    w._left_descents = frozenset(
+                        i + 1 for i, u in enumerate(row) if u.length < w.length
+                    )
+                if len(known) > max_size:
                     raise DomainError(
                         f"group has more than max_size={max_size} elements"
                     )
-                frontier = nxt
-            self._elements = tuple(
-                sorted(seen, key=lambda w: (w.length, self.canonical_word(w)))
-            )
+                level = nxt
+            self._elements = tuple(known.values())
         return self._elements
 
     def longest_element(self) -> WeylElement:
-        if self._longest is None:
-            cursor = self.identity
-            ascents = self._right_ascents(cursor)
-            while ascents:
-                cursor = self.multiply(cursor, self.simple_reflection(min(ascents)))
-                ascents = self._right_ascents(cursor)
-            self._longest = cursor
-        return self._longest
+        """The unique element of greatest length, last in enumeration order."""
+        return self.enumerate_group()[-1]
 
     def conjugate_by_longest(self, w: WeylElement) -> WeylElement:
         """``w0 * w * w0``, computed once per element and then looked up."""
@@ -287,11 +249,6 @@ class WeylGroup:
             self._longest_conjugates[w._serial] = found
             self._longest_conjugates[found._serial] = w
         return found
-
-    def _right_ascents(self, w: WeylElement) -> list[int]:
-        return [
-            i for i in range(1, self.rank + 1) if i not in self.right_descents(w)
-        ]
 
     # ----- Bruhat order ----------------------------------------------------
 
@@ -306,13 +263,11 @@ class WeylGroup:
         key = (x._serial, w._serial)
         cached = self._bruhat_memo.get(key)
         if cached is None:
-            i = min(self.left_descents(w))
-            s = self.simple_reflection(i)
-            sw = self.multiply(s, w)
-            if i in self.left_descents(x):
-                cached = self.bruhat_leq(self.multiply(s, x), sw)
+            i = min(w._left_descents)
+            if i in x._left_descents:
+                cached = self.bruhat_leq(x._left[i - 1], w._left[i - 1])
             else:
-                cached = self.bruhat_leq(x, sw)
+                cached = self.bruhat_leq(x, w._left[i - 1])
             self._bruhat_memo[key] = cached
         return cached
 
@@ -400,7 +355,7 @@ class WeylGroup:
             return self.identity
         if not body:
             raise WordParseError("empty word; use 'e' for the identity")
-        result = self.identity
+        word = []
         for token in body.split("*"):
             match = _TOKEN.match(token.strip())
             if match is None:
@@ -412,8 +367,8 @@ class WeylGroup:
                 raise WordParseError(
                     f"word token s{i} out of range; rank is {self.rank}"
                 )
-            result = self.multiply(result, self.simple_reflection(i))
-        return result
+            word.append(i)
+        return self.product_of(word)
 
     def format_word(self, w: WeylElement, identity: str = "e") -> str:
         """Canonical word as text, e.g. ``"s1*s2"``; the identity prints as given."""

@@ -331,9 +331,10 @@ def _installed_distribution() -> importlib.metadata.Distribution | None:
 def test_entry_point_installed():
     """``pyproject.toml`` declares ``steinmult`` and its wrapper works.
 
-    Runs the wrapper a console script installs, ``sys.exit(main())``, in a
-    fresh interpreter with ``src/`` on the path, so it holds for a source
-    checkout as well as for an installed package.
+    Runs the wrapper a console script installs, ``sys.exit(main())``, and
+    ``python -m steinmult``, each in a fresh interpreter with ``src/`` on
+    the path, so it holds for a source checkout as well as for an
+    installed package.
     """
     tomllib = pytest.importorskip("tomllib")
     with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
@@ -345,19 +346,20 @@ def test_entry_point_installed():
     path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
-    def script(*argv):
+    def script(launcher, *argv):
         return subprocess.run(
-            [sys.executable, "-c", wrapper, *argv],
+            [sys.executable, *launcher, *argv],
             env=env,
             capture_output=True,
             text=True,
             timeout=60,
         )
 
-    done = script("omega", "--gln", "4", "--mu", "3,2,1,-6")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "e s1 s2 s1*s2 s2*s1 s1*s2*s1\n"
-    assert script("nonsense").returncode == 2
+    for launcher in (("-c", wrapper), ("-m", "steinmult")):
+        done = script(launcher, "omega", "--gln", "4", "--mu", "3,2,1,-6")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "e s1 s2 s1*s2 s2*s1 s1*s2*s1\n"
+        assert script(launcher, "nonsense").returncode == 2
 
 
 @pytest.mark.skipif(

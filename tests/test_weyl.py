@@ -8,11 +8,13 @@ import pytest
 from steinmult import (
     Coweight,
     DomainError,
+    Weight,
     WeylGroup,
     WordParseError,
     build_root_datum,
     cartan_type,
     coweight_from_gln,
+    pairing,
     weight_to_fundamental,
 )
 
@@ -23,7 +25,10 @@ from oracles import (
     subword_leq,
 )
 
-GROUP_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192}
+GROUP_ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192,
+    "A5": 720, "F4": 1152,
+}
 
 
 def test_group_orders():
@@ -61,6 +66,41 @@ def test_simple_relations(a2, a3, g2):
     assert braid is g2.identity
 
 
+def _matmul(x, y):
+    cols = tuple(zip(*y))
+    return tuple(
+        tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in x
+    )
+
+
+def test_table_matches_matrix_products(a3, b2, g2, b3):
+    # The multiplication table and the matrices an element carries for its
+    # action on weights and coweights describe the same group, and the two
+    # matrices preserve the pairing of simple roots with simple coroots.
+    for group in (a3, b2, g2, b3):
+        datum = group.datum
+        elements = group.enumerate_group()
+        positive = [Weight(root) for root in datum.positive_roots]
+        simple = [datum.simple_root(i) for i in range(1, group.rank + 1)]
+        # alpha_j^vee has the same unit coordinates in the simple-coroot basis.
+        simple_co = [Coweight(alpha.coords) for alpha in simple]
+        for a in elements:
+            sent_negative = sum(
+                1 for root in positive if min(group.act_weight(a, root).coords) < 0
+            )
+            assert a.length == sent_negative, group.format_word(a)
+            for alpha in simple:
+                for coroot in simple_co:
+                    moved = pairing(
+                        datum, group.act_weight(a, alpha), group.act_coweight(a, coroot)
+                    )
+                    assert moved == pairing(datum, alpha, coroot)
+            for b in elements:
+                ab = group.multiply(a, b)
+                assert ab.root_matrix == _matmul(a.root_matrix, b.root_matrix)
+                assert ab.coroot_matrix == _matmul(a.coroot_matrix, b.coroot_matrix)
+
+
 def test_canonical_word_is_lex_smallest_reduced_word(a3, b2):
     for group in (a3, b2):
         for w in group.enumerate_group():
@@ -86,12 +126,16 @@ def test_support_example(a3):
 
 
 def test_left_descents_against_brute_force(a3, b2, g2):
+    # i is a left descent iff w^{-1}(alpha_i) is negative, i.e. iff no
+    # positive root is sent to alpha_i by the matrix of w.
     for group in (a3, b2, g2):
+        positive = [Weight(root) for root in group.datum.positive_roots]
         for w in group.enumerate_group():
+            images = {group.act_weight(w, root) for root in positive}
             brute = {
                 i
                 for i in range(1, group.rank + 1)
-                if group.multiply(group.simple_reflection(i), w).length < w.length
+                if group.datum.simple_root(i) not in images
             }
             assert group.left_descents(w) == brute
             assert group.upper_set(w) == set(range(1, group.rank + 1)) - brute
