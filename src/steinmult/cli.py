@@ -17,7 +17,8 @@ simple coroot ``j``) and ``--gln N`` (type ``A_{N-1}``, with ``--mu``
 given as an ``N``-tuple summing to zero, converted by partial sums).
 
 Exit codes: ``0`` success, ``2`` unparsable input, ``3`` violated domain
-precondition, ``4`` internal infeasibility.
+precondition (including a Weyl group of more than 10**6 elements, refused
+from its order before any element is built), ``4`` internal infeasibility.
 """
 
 from __future__ import annotations

@@ -3,7 +3,11 @@
 Fix a coweight ``mu`` in the open positive chamber.  For a subset ``I`` of
 simple indices, :func:`omega` selects the Weyl elements ``w`` such that
 every simple-coroot coordinate of ``w(mu)`` at a position *outside* ``I``
-is positive.  These index sets drive everything else here:
+is positive.  Only the signs of those coordinates matter, so each public
+call scales ``mu`` once by the lcm of its coordinate denominators and reads
+every chamber image from the integer coroot matrices, once per element;
+:func:`double_complex_layout` shares those signs across all its subsets.
+These index sets drive everything else here:
 
 * :func:`y_structure` and :func:`parabolic_complex_layout` describe, for a
   proper subset ``I``, a space stratified by cells indexed by minimal
@@ -30,6 +34,7 @@ is positive.  These index sets drive everything else here:
 
 from __future__ import annotations
 
+import math
 import warnings as _warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -64,11 +69,27 @@ class InfeasibleError(RuntimeError):
     """The interval constraints admit no solution; indicates an internal bug."""
 
 
-def _validated_mu(group: WeylGroup, mu: Coweight) -> Coweight:
+def _positive_coordinates(
+    group: WeylGroup, mu: Coweight
+) -> dict[WeylElement, frozenset[int]]:
+    """For every element in enumeration order, the ``i`` with ``w(mu)_i > 0``.
+
+    Scaling ``mu`` by a positive integer keeps every sign, so the images are
+    taken in integers: ``mu`` times the lcm of its coordinate denominators.
+    """
     report = validate_mu_positive_chamber(group.datum, mu)
     if not report.ok:
         raise DomainError(report.message)
-    return mu
+    scale = math.lcm(*(c.denominator for c in mu.coords))
+    scaled = tuple(c.numerator * (scale // c.denominator) for c in mu.coords)
+    return {
+        w: frozenset(
+            i
+            for i, row in enumerate(w.coroot_matrix, start=1)
+            if sum(a * b for a, b in zip(row, scaled)) > 0
+        )
+        for w in group.enumerate_group()
+    }
 
 
 @dataclass(frozen=True)
@@ -95,12 +116,16 @@ class OmegaSet:
 def omega(
     group: WeylGroup, mu: Coweight, subset: Iterable[int] = frozenset()
 ) -> OmegaSet:
-    """Elements ``w`` with ``w(mu)`` positive in every coordinate outside ``subset``."""
+    """Elements ``w`` with ``w(mu)`` positive in every coordinate outside ``subset``.
+
+    The signs of ``w(mu)`` are computed once per element, in integers, from
+    ``mu`` scaled by the lcm of its coordinate denominators; the returned
+    set keeps ``mu`` as given.
+    """
     subset = group._check_subset(frozenset(subset))
-    _validated_mu(group, mu)
-    outside = [i - 1 for i in range(1, group.rank + 1) if i not in subset]
-    images = ((w, group.act_coweight(w, mu).coords) for w in group.enumerate_group())
-    chosen = tuple(w for w, coords in images if all(coords[i] > 0 for i in outside))
+    outside = frozenset(range(1, group.rank + 1)) - subset
+    positives = _positive_coordinates(group, mu)
+    chosen = tuple(w for w, positive in positives.items() if outside <= positive)
     return OmegaSet(subset, mu, chosen)
 
 
@@ -544,22 +569,26 @@ def double_complex_layout(group: WeylGroup, mu: Coweight) -> DoubleComplexLayout
     """Place ``(I, w)`` at ``(-(rank - |I|), #positive roots - length(w))``.
 
     ``w`` runs over the minimal coset representatives lying in the index
-    set of ``I``; for ``I`` the full set the index-set condition is vacuous
-    and the only representative is the identity, so the corner ``(0,
-    #positive roots)`` holds exactly that single pair (asserted).
+    set of ``I``.  The signs of every ``w(mu)`` are computed once and shared
+    by all ``2^rank`` subsets.  For ``I`` the full set the index-set
+    condition is vacuous and the only representative is the identity, so
+    the corner ``(0, #positive roots)`` holds exactly that single pair
+    (asserted).
     """
-    _validated_mu(group, mu)
+    positives = _positive_coordinates(group, mu)
     n_pos = len(group.datum.positive_roots)
     rank = group.rank
+    indices = frozenset(range(1, rank + 1))
     rows: list[tuple[int, int, frozenset[int], WeylElement]] = []
-    for subset in _subsets_by_size(range(1, rank + 1)):
-        members = set(omega(group, mu, subset).elements)
+    for subset in _subsets_by_size(indices):
+        outside = indices - subset
+        p = -(rank - len(subset))
         for w in group.kostant_reps(subset):
-            if w in members:
-                rows.append((-(rank - len(subset)), n_pos - w.length, subset, w))
+            if outside <= positives[w]:
+                rows.append((p, n_pos - w.length, subset, w))
     layout = DoubleComplexLayout(mu, tuple(rows))
     corner = layout.at(0, n_pos)
-    assert corner == ((frozenset(range(1, rank + 1)), group.identity),), (
+    assert corner == ((indices, group.identity),), (
         "top corner of the layout must hold exactly the identity pair"
     )
     return layout

@@ -8,8 +8,14 @@ search depth), its left descents and its canonical word, and every product,
 inverse, descent and Bruhat comparison reads that table.  Each element also
 carries the integer matrices of its action on weights (simple-root basis)
 and on coweights (simple-coroot basis); they are used only where a weight
-or coweight is acted on.  Within one :class:`WeylGroup` equal elements are
-the *same* object; equality and hashing are identity-based.
+or coweight is acted on.  The root matrices are read by ``act_weight``,
+``dot_action`` and ``right_descents``; the coroot matrices by
+``act_coweight`` and by :mod:`steinmult.period_domain`, which takes the
+signs of every chamber image ``w(mu)`` from them in scaled integers.  The
+order of the group is known from the root system before anything is built,
+so a group larger than ``enumerate_group``'s ``max_size`` is refused up
+front.  Within one :class:`WeylGroup` equal elements are the *same* object;
+equality and hashing are identity-based.
 
 Conventions:
 
@@ -32,6 +38,7 @@ Simple reflections are indexed ``1..rank`` everywhere.
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from .root_datum import Coweight, DomainError, RootDatum, Weight
 
@@ -62,6 +69,19 @@ def _reflect(row: tuple[int, ...], i: int, m: IntMatrix) -> IntMatrix:
 
 def _apply(m: IntMatrix, vec: tuple) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in m)
+
+
+def _group_order(datum: RootDatum) -> int:
+    """``|W|`` as the product of ``m + 1`` over the exponents ``m``.
+
+    The exponents form the partition dual to the numbers of positive roots
+    of each height (Kostant), in every finite type, reducible or not.
+    """
+    per_height = Counter(sum(root) for root in datum.positive_roots).values()
+    order = 1
+    for i in range(1, datum.rank + 1):
+        order *= 1 + sum(1 for count in per_height if count >= i)
+    return order
 
 
 class WeylElement:
@@ -202,9 +222,16 @@ class WeylGroup:
         for each element ``w`` of the previous length in enumeration order,
         ``s_i w`` is either known or new.  A new element is first reached
         through its smallest left descent ``i``, so its canonical word is
-        ``(i,) + word(w)`` and each length comes out already sorted.
+        ``(i,) + word(w)`` and each length comes out already sorted.  A
+        group of more than ``max_size`` elements raises :class:`DomainError`
+        before any element is built.
         """
         if self._elements is None:
+            order = _group_order(self.datum)
+            if order > max_size:
+                raise DomainError(
+                    f"group has {order} elements, more than max_size={max_size}"
+                )
             known = {self.identity.root_matrix: self.identity}
             level = [self.identity]
             while level:
@@ -225,10 +252,6 @@ class WeylGroup:
                     w._left = tuple(row)
                     w._left_descents = frozenset(
                         i + 1 for i, u in enumerate(row) if u.length < w.length
-                    )
-                if len(known) > max_size:
-                    raise DomainError(
-                        f"group has more than max_size={max_size} elements"
                     )
                 level = nxt
             self._elements = tuple(known.values())
@@ -306,7 +329,7 @@ class WeylGroup:
             found = tuple(
                 w
                 for w in self.enumerate_group()
-                if subset <= self.upper_set(w)
+                if subset.isdisjoint(w._left_descents)
             )
             self._kostant_cache[subset] = found
         return found

@@ -307,6 +307,20 @@ def test_gln_too_small(capsys):
     assert code == 2 and "N >= 2" in err
 
 
+def test_over_large_group_refused_before_enumeration(capsys, monkeypatch):
+    # A10 has 11! elements, past the default max_size; the order comes from
+    # the root system, so no reflection row may be applied to build one.
+    def refuse(*args):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr("steinmult.weyl._reflect", refuse)
+    code, out, err = run_cli(
+        capsys, "omega", "--gln", "11", "--mu", "10,9,8,7,6,5,4,3,2,1,-55"
+    )
+    assert code == 3 and out == ""
+    assert "39916800 elements" in err and "max_size" in err
+
+
 def test_argparse_failures(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "factors", "--cartan", "A3")[0] == 2

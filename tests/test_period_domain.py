@@ -9,6 +9,7 @@ force) are checked against independent oracles on randomized inputs.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ from steinmult import (
     OmegaSet,
     WeylGroup,
     build_complex,
+    build_root_datum,
+    cartan_type,
     coweight_from_gln,
     distribution_types,
     double_complex_layout,
@@ -39,6 +42,7 @@ from steinmult import (
     omega,
     parabolic_complex_layout,
     solve_multiplicity_intervals,
+    validate_mu_positive_chamber,
     y_structure,
 )
 import steinmult.period_domain as period_domain_module
@@ -55,6 +59,15 @@ def golden_factors(group: WeylGroup, rows) -> set:
     }
 
 
+def all_subsets(rank: int) -> list[frozenset[int]]:
+    """Every subset of ``1..rank``, by size and then lexicographically."""
+    return [
+        frozenset(combo)
+        for size in range(rank + 1)
+        for combo in itertools.combinations(range(1, rank + 1), size)
+    ]
+
+
 def random_dominant(group: WeylGroup, rng: random.Random) -> Coweight:
     basis = fundamental_coweights(group.datum)
     coeffs = [
@@ -65,6 +78,23 @@ def random_dominant(group: WeylGroup, rng: random.Random) -> Coweight:
         for k in range(group.rank)
     ]
     return Coweight.of(*coords)
+
+
+def mixed_denominator_dominant(group: WeylGroup, rng: random.Random) -> Coweight:
+    """A strictly dominant coweight with coordinates ``m + 1/2``, ``m + k/3``, ...
+
+    Coordinate ``i`` has denominator 2 or 3 in turn, so no single
+    denominator makes every coordinate an integer and scaling takes their
+    lcm.  Draws until the coweight lies in the open positive chamber.
+    """
+    while True:
+        coords = []
+        for i in range(group.rank):
+            d = 2 + i % 2
+            coords.append(Fraction(d * rng.randint(0, 9) + rng.randint(1, d - 1), d))
+        mu = Coweight.of(*coords)
+        if validate_mu_positive_chamber(group.datum, mu).ok:
+            return mu
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +124,28 @@ def test_omega_brute_force(a3):
             expected = set(gln_omega_brute_force(a3, values, subset))
             got = set(omega(a3, coweight_from_gln(values), subset).elements)
             assert got == expected
+    # Outside type A, filter by the signs of the public Fraction action.
+    for label in ("B2", "G2", "B3", "C3", "D4"):
+        group = WeylGroup(build_root_datum(cartan_type(label)))
+        for _ in range(2):
+            mu = mixed_denominator_dominant(group, rng)
+            images = [
+                (w, group.act_coweight(w, mu).coords)
+                for w in group.enumerate_group()
+            ]
+            for subset in all_subsets(group.rank):
+                expected = tuple(
+                    w
+                    for w, coords in images
+                    if all(
+                        coords[i - 1] > 0
+                        for i in range(1, group.rank + 1)
+                        if i not in subset
+                    )
+                )
+                index_set = omega(group, mu, subset)
+                assert index_set.elements == expected, (label, mu, subset)
+                assert index_set.mu == mu
 
 
 def test_omega_structural_properties(a3, b3):
@@ -357,7 +409,7 @@ def test_homology_b2_structure(b2):
 # double complex layout
 
 
-def test_double_complex_layout(a3):
+def test_double_complex_layout(a3, b3, g2):
     mu = mu_of(GL4_A)
     layout = double_complex_layout(a3, mu)
     assert layout.at(0, 6) == ((frozenset({1, 2, 3}), a3.identity),)
@@ -369,6 +421,21 @@ def test_double_complex_layout(a3):
         assert p == -(3 - len(subset))
         assert q == 6 - w.length
         assert w in set(a3.kostant_reps(subset))
+    # Subset by subset, the rows are the representatives in the index set.
+    rng = random.Random(20261018)
+    for group in (a3, b3, g2):
+        n_pos = len(group.datum.positive_roots)
+        mu = mixed_denominator_dominant(group, rng)
+        index_sets = {s: omega(group, mu, s) for s in all_subsets(group.rank)}
+        expected = [
+            (-(group.rank - len(subset)), n_pos - w.length, subset, w)
+            for subset, index_set in index_sets.items()
+            for w in group.kostant_reps(subset)
+            if w in index_set
+        ]
+        layout = double_complex_layout(group, mu)
+        assert layout.entries == tuple(expected)
+        assert layout.mu == mu
 
 
 def test_double_complex_layout_rejects_non_dominant(a3):

@@ -26,15 +26,20 @@ from oracles import (
 )
 
 GROUP_ORDERS = {
-    "A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12, "D4": 192,
-    "A5": 720, "F4": 1152,
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48, "C3": 48,
+    "G2": 12, "D4": 192, "A5": 720, "F4": 1152,
 }
 
 
 def test_group_orders():
     for label, expected in GROUP_ORDERS.items():
-        group = WeylGroup(build_root_datum(cartan_type(label)))
-        assert len(group.enumerate_group()) == expected, label
+        datum = build_root_datum(cartan_type(label))
+        # The size guard knows the order before enumerating: one element
+        # short of it is refused, exactly the order is accepted.
+        with pytest.raises(DomainError, match=f"{expected} elements"):
+            WeylGroup(datum).enumerate_group(max_size=expected - 1)
+        group = WeylGroup(datum)
+        assert len(group.enumerate_group(max_size=expected)) == expected, label
 
 
 def test_enumeration_order(a3):
