@@ -22,10 +22,10 @@ Two independent routes are implemented:
   R-polynomials follow their own recursion on *right* descents, so this
   route shares no Bruhat-order or descent code path with the first.
 
-``verma_multiplicity(u, v)`` evaluates, at ``q = 1``, the polynomial for
-the pair conjugated by the longest element; this is the multiplicity of
-the simple quotient indexed by ``u`` inside the (dual) standard object
-indexed by ``v`` in the dominant block convention used throughout.
+``verma_multiplicity(u, v)`` is ``P(u, v)(1)``, which equals the value for
+the pair conjugated by the longest element: the multiplicity of the simple
+quotient indexed by ``u`` inside the (dual) standard object indexed by
+``v`` in the dominant block convention used throughout.
 
 Every polynomial here has integer coefficients and is exact.
 """
@@ -222,18 +222,14 @@ def mu_coefficient(group: WeylGroup, z: WeylElement, w: WeylElement) -> int:
 def verma_multiplicity(group: WeylGroup, u: WeylElement, v: WeylElement) -> int:
     """Multiplicity of the simple indexed by ``u`` in the standard indexed by ``v``.
 
-    Computed as the value at ``q = 1`` of the polynomial attached to the
-    pair ``(w0 u w0, w0 v w0)`` conjugated by the longest element ``w0``;
-    each conjugate comes from :meth:`WeylGroup.conjugate_by_longest`, which
-    multiplies it out once per element and group and looks it up after
-    that.  Conjugation by the longest element is an automorphism of the
-    diagram, so this value also equals ``kl_polynomial(u, v)(1)``
-    (asserted in the test-suite, not here).  Positive exactly when
+    Defined as the value at ``q = 1`` of the polynomial of the pair
+    ``(w0 u w0, w0 v w0)`` conjugated by the longest element ``w0``.
+    Conjugation by ``w0`` is an automorphism of the diagram, so this is
+    ``kl_polynomial(u, v)(1)``, which is what is evaluated (the invariance
+    is asserted in the test-suite, not here).  Positive exactly when
     ``u <= v`` in Bruhat order.
     """
-    conj_u = group.conjugate_by_longest(u)
-    conj_v = group.conjugate_by_longest(v)
-    return kl_polynomial(group, conj_u, conj_v)(1)
+    return kl_polynomial(group, u, v)(1)
 
 
 def r_polynomial(group: WeylGroup, x: WeylElement, w: WeylElement) -> KLPolynomial:

@@ -23,7 +23,6 @@ Simple roots/coroots are indexed ``1..d`` in every public interface.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -81,29 +80,23 @@ BUILTIN_TYPES: dict[str, Matrix] = {
 }
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    m = [row[:] for row in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
 def _validate_cartan_matrix(matrix: Matrix) -> None:
+    """Refuse a matrix that is not a generalized Cartan matrix of finite type.
+
+    ``A`` is of finite type exactly when every principal minor is positive,
+    and a finite-type matrix is symmetrizable (Kac, *Infinite-dimensional
+    Lie algebras*, ch. 4).  So first look for positive ``d_1..d_n`` with
+    ``a_ij / d_i = a_ji / d_j`` for every pair: set ``d_j = d_i a_ji /
+    a_ij`` along a spanning forest of the diagram, then check every pair.
+    Then ``B = D^{-1} A`` is symmetric, and each principal minor of ``A``
+    is the one of ``B`` times a product of ``d_i``, so it has the same
+    sign.  By Sylvester's criterion the symmetric ``B`` has all principal
+    minors positive iff its leading ones are, and the pivots of Gaussian
+    elimination of ``A`` without row exchanges are the ratios of its
+    consecutive leading minors.  So one elimination whose every pivot is
+    positive decides finite type in ``O(n^3)``, with no determinant taken
+    for each of the ``2^n - 1`` principal submatrices.
+    """
     d = len(matrix)
     if d == 0:
         raise DomainError("Cartan matrix must have positive rank")
@@ -129,16 +122,41 @@ def _validate_cartan_matrix(matrix: Matrix) -> None:
                     f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) must "
                     "vanish together"
                 )
-    # Finite type: every principal submatrix has positive determinant.
-    for size in range(1, d + 1):
-        for subset in itertools.combinations(range(d), size):
-            sub = [[Fraction(matrix[i][j]) for j in subset] for i in subset]
-            if _det(sub) <= 0:
-                labels = ",".join(str(i + 1) for i in subset)
+    # Finite type, as in the docstring: symmetrize along a spanning forest.
+    scale: list[Fraction | None] = [None] * d
+    for root in range(d):
+        if scale[root] is not None:
+            continue
+        scale[root] = Fraction(1)
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(d):
+                if matrix[i][j] and scale[j] is None:
+                    scale[j] = scale[i] * matrix[j][i] / matrix[i][j]
+                    stack.append(j)
+    for i in range(d):
+        for j in range(i + 1, d):
+            if matrix[i][j] / scale[i] != matrix[j][i] / scale[j]:
                 raise DomainError(
-                    f"principal submatrix on rows {{{labels}}} has "
-                    "non-positive determinant; the system is not finite type"
+                    f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) close a "
+                    "cycle that admits no symmetrization; the system is not "
+                    "finite type"
                 )
+    # Eliminate without row exchanges; every pivot must be positive.
+    m = [[Fraction(entry) for entry in row] for row in matrix]
+    for col in range(d):
+        if m[col][col] <= 0:
+            labels = ",".join(str(i + 1) for i in range(col + 1))
+            raise DomainError(
+                f"principal submatrix on rows {{{labels}}} has "
+                "non-positive determinant; the system is not finite type"
+            )
+        for r in range(col + 1, d):
+            factor = m[r][col] / m[col][col]
+            if factor:
+                for c in range(col, d):
+                    m[r][c] -= factor * m[col][c]
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,7 @@ def jh_multiplicity_oracle(
     supported on ``K``, with no Bruhat restriction on the summation range.
     Kept deliberately distinct from the production route: the Verma
     multiplicities are evaluated by multiplying out the conjugation by the
-    longest element here, not through the group's cached conjugates.
+    longest element here; production evaluates P(u, v) unconjugated.
     """
     group._check_member(w)
     group._check_member(v)

@@ -5,7 +5,9 @@ identity by left multiplication with simple reflections, one length at a
 time (W. Casselman, "Machine calculations in Weyl groups", Invent. Math.
 116, 1994).  Each element stores ``s_i w`` for every ``i``, its length (the
 search depth), its left descents and its canonical word, and every product,
-inverse, descent and Bruhat comparison reads that table.  Each element also
+inverse and descent reads that table.  Bruhat comparisons read the lower
+ideal of an element, a bitset of serials built from the table by the
+lifting property on the first query for that element.  Each element also
 carries the integer matrices of its action on weights (simple-root basis)
 and on coweights (simple-coroot basis); they are used only where a weight
 or coweight is acted on.  The root matrices are read by ``act_weight``,
@@ -71,6 +73,11 @@ def _apply(m: IntMatrix, vec: tuple) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in m)
 
 
+def _serials(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, in increasing order."""
+    return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
 def _group_order(datum: RootDatum) -> int:
     """``|W|`` as the product of ``m + 1`` over the exponents ``m``.
 
@@ -96,6 +103,7 @@ class WeylElement:
         "_word",
         "_left",
         "_left_descents",
+        "_below",
     )
 
     def __init__(
@@ -117,6 +125,8 @@ class WeylElement:
         # ``_left_descents``; the identity's empty descent set holds before.
         self._left: tuple[WeylElement, ...] = ()
         self._left_descents: frozenset[int] = frozenset()
+        # Bitset of the serials of all x <= this element; 0 until built.
+        self._below = 0 if word else 1
 
     def __repr__(self) -> str:
         return f"<WeylElement {self.group.format_word(self)}>"
@@ -143,8 +153,6 @@ class WeylGroup:
             self, _identity_matrix(d), _identity_matrix(d), 0, ()
         )
         self._elements: tuple[WeylElement, ...] | None = None
-        self._bruhat_memo: dict[tuple[int, int], bool] = {}
-        self._longest_conjugates: dict[int, WeylElement] = {}
         self._kostant_cache: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         self._parabolic_cache: dict[frozenset[int], tuple[WeylElement, ...]] = {}
 
@@ -261,46 +269,41 @@ class WeylGroup:
         """The unique element of greatest length, last in enumeration order."""
         return self.enumerate_group()[-1]
 
-    def conjugate_by_longest(self, w: WeylElement) -> WeylElement:
-        """``w0 * w * w0``, computed once per element and then looked up."""
-        self._check_member(w)
-        found = self._longest_conjugates.get(w._serial)
-        if found is None:
-            w0 = self.longest_element()
-            found = self.multiply(self.multiply(w0, w), w0)
-            # Conjugation by an involution is itself an involution.
-            self._longest_conjugates[w._serial] = found
-            self._longest_conjugates[found._serial] = w
-        return found
-
     # ----- Bruhat order ----------------------------------------------------
 
+    def _ideal(self, w: WeylElement) -> int:
+        """Bitset of the serials of all ``x <= w``, built once per element.
+
+        Lifting property: with ``i`` the first letter of the canonical word
+        of ``w``, the ideal of ``w`` is that of ``s_i w`` together with its
+        image under left multiplication by ``s_i``.
+        """
+        chain = []
+        while not w._below:
+            chain.append(w)
+            w = w._left[w._word[0] - 1]
+        below = w._below
+        elements = self._elements
+        for u in reversed(chain):
+            i = u._word[0] - 1
+            for k in _serials(below):
+                below |= 1 << elements[k]._left[i]._serial
+            u._below = below
+        return below
+
     def bruhat_leq(self, x: WeylElement, w: WeylElement) -> bool:
-        """Bruhat order, via descent pruning on the left."""
+        """Bruhat order: whether ``x`` lies in the lower ideal of ``w``."""
         self._check_member(x)
         self._check_member(w)
-        if x is w:
-            return True
-        if x.length >= w.length:
-            return False
-        key = (x._serial, w._serial)
-        cached = self._bruhat_memo.get(key)
-        if cached is None:
-            i = min(w._left_descents)
-            if i in x._left_descents:
-                cached = self.bruhat_leq(x._left[i - 1], w._left[i - 1])
-            else:
-                cached = self.bruhat_leq(x, w._left[i - 1])
-            self._bruhat_memo[key] = cached
-        return cached
+        return bool(self._ideal(w) >> x._serial & 1)
 
     def bruhat_interval(self, x: WeylElement, w: WeylElement) -> tuple[WeylElement, ...]:
         """Elements ``t`` with ``x <= t <= w``, in enumeration order."""
-        return tuple(
-            t
-            for t in self.enumerate_group()
-            if self.bruhat_leq(x, t) and self.bruhat_leq(t, w)
-        )
+        self._check_member(x)
+        self._check_member(w)
+        elements = self.enumerate_group()
+        inside = (elements[k] for k in _serials(self._ideal(w)))
+        return tuple(t for t in inside if self._ideal(t) >> x._serial & 1)
 
     def covers(self, x: WeylElement, w: WeylElement) -> bool:
         """Whether ``w`` covers ``x``: ``x < w`` with ``length(w) = length(x)+1``."""

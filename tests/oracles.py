@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Nothing here shares a code path with the package internals it checks:
-Bruhat order is re-derived from the subword property, type-A actions from
-one-line permutations, and reduced words by descent recursion.
+Bruhat order is re-derived from the subword property (and, in type A, from
+rank matrices of one-line permutations), type-A actions from one-line
+permutations, and reduced words by descent recursion.
 """
 
 from __future__ import annotations
@@ -34,6 +35,23 @@ def permutation_of(group: WeylGroup, w: WeylElement) -> tuple[int, ...]:
     for i in group.canonical_word(w):
         line[i - 1], line[i] = line[i], line[i - 1]
     return tuple(line)
+
+
+def rank_matrix(group: WeylGroup, w: WeylElement) -> tuple[int, ...]:
+    """The rank matrix of a type-A element, flattened row by row.
+
+    Entry ``(i, j)`` counts ``a <= i`` with ``w(a) >= j``, for ``1 <= i, j
+    <= n``.  ``x <= w`` in Bruhat order exactly when every entry of the
+    rank matrix of ``x`` is at most that of ``w`` (Bjorner-Brenti,
+    *Combinatorics of Coxeter Groups*, Thm 2.1.5).
+    """
+    line = permutation_of(group, w)
+    n = len(line)
+    return tuple(
+        sum(1 for a in range(i) if line[a] >= j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
 
 
 def permute_gln_tuple(

@@ -321,6 +321,14 @@ def test_over_large_group_refused_before_enumeration(capsys, monkeypatch):
     assert "39916800 elements" in err and "max_size" in err
 
 
+def test_high_rank_gln_refused(capsys):
+    # Validating A29 as finite type must not cost time exponential in the
+    # rank before the order check refuses its 30! elements.
+    mu = ",".join(str(x) for x in range(29, 0, -1)) + ",-435"
+    code, out, err = run_cli(capsys, "omega", "--gln", "30", "--mu", mu)
+    assert code == 3 and out == ""
+
+
 def test_argparse_failures(capsys):
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "factors", "--cartan", "A3")[0] == 2

@@ -131,12 +131,17 @@ def test_mu_coefficient(a3):
 
 
 def test_verma_multiplicity_conjugation_invariance(a3, b2):
-    # The longest element induces a diagram automorphism, so the conjugated
-    # polynomial evaluation agrees with the plain one.
+    # The longest element induces a diagram automorphism (the flip of A3,
+    # trivial on B2), so the polynomial of the pair conjugated by w0,
+    # multiplied out here, evaluates to the same multiplicity.
     for group in (a3, b2):
+        w0 = group.longest_element()
         for u in group.enumerate_group():
+            conj_u = group.multiply(group.multiply(w0, u), w0)
             for v in group.enumerate_group():
-                assert verma_multiplicity(group, u, v) == kl_polynomial(group, u, v)(1)
+                conj_v = group.multiply(group.multiply(w0, v), w0)
+                expected = kl_polynomial(group, conj_u, conj_v)(1)
+                assert verma_multiplicity(group, u, v) == expected
 
 
 def test_verma_multiplicity_values(a3):

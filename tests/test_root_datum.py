@@ -84,6 +84,13 @@ def test_validation_rejects_non_finite_type():
         cartan_type_from_matrix([[2, -2], [-2, 2]])
 
 
+def test_validation_rejects_non_symmetrizable_cycle():
+    # Around the 3-cycle the products a12 a23 a31 = -1 and a21 a32 a13 = -2
+    # differ, so no symmetrization exists and the matrix is not finite type.
+    with pytest.raises(DomainError, match="no symmetrization.*not finite type"):
+        cartan_type_from_matrix([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+
+
 def test_validation_rejects_non_square():
     with pytest.raises(DomainError, match="square"):
         cartan_type_from_matrix([[2, -1]])
